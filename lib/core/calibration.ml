@@ -825,11 +825,11 @@ let knn_mean_from_dists qs d ~k =
     !acc /. float_of_int m
   end
 
-(* Partial top-k selection instead of the former full sort: distances
-   are scanned once (from the cached matrix when available) and only the
-   kept prefix is ordered, O(n + keep log keep). Selection runs on
-   squared distances — the ordering is the same — and the square root is
-   taken only for the kept entries, whose weights reproduce the
+(* Top-k selection instead of the former full sort: distances are
+   scanned once (from the cached matrix when available) and
+   [Select.select_in_place] orders them in O(n) radix passes. Selection
+   runs on squared distances — the ordering is the same — and the square
+   root is taken only for the kept entries, whose weights reproduce the
    exp(-d^2/tau) of the sort-based reference bit for bit. On return the
    workspace prefix holds the ascending (squared distance, index) pairs
    of the kept entries. *)

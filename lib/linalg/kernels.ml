@@ -31,16 +31,29 @@ let isa_name = function
 (* Startup selection: PROM_KERNELS={simd,c,ocaml} overrides; the
    default is the best available backend.  [simd] on a host without
    SIMD support degrades to the scalar C build (same results). *)
-let active_backend =
-  lazy
-    (match Sys.getenv_opt "PROM_KERNELS" with
-    | Some "ocaml" -> Ocaml
-    | Some "c" -> C
-    | Some "simd" -> if available Simd then Simd else C
-    | Some other -> invalid_arg ("PROM_KERNELS: unknown backend " ^ other)
-    | None -> if available Simd then Simd else C)
+let resolve () =
+  match Sys.getenv_opt "PROM_KERNELS" with
+  | Some "ocaml" -> Ocaml
+  | Some "c" -> C
+  | Some "simd" -> if available Simd then Simd else C
+  | Some other -> invalid_arg ("PROM_KERNELS: unknown backend " ^ other)
+  | None -> if available Simd then Simd else C
 
-let active () = Lazy.force active_backend
+(* Resolved on first use, not at module load, so a bad PROM_KERNELS
+   fails the first kernel call.  An atomic cache rather than a [Lazy.t]:
+   a lazy forced by two domains at once raises [CamlinternalLazy.Undefined]
+   in one of them, while domains racing here each run [resolve] — a pure
+   function of the environment and the CPU probe — and agree. *)
+let resolved : backend option Atomic.t = Atomic.make None
+
+let active () =
+  match Atomic.get resolved with
+  | Some b -> b
+  | None ->
+      let b = resolve () in
+      Atomic.set resolved (Some b);
+      b
+
 let active_name () = backend_name (active ())
 let active_isa () = isa_name (active ())
 

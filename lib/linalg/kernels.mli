@@ -51,7 +51,8 @@ val backend_name : backend -> string
 val isa_name : backend -> string
 
 (** The backend every implicit-backend entry point dispatches to,
-    resolved once from [PROM_KERNELS] / the CPU probe. *)
+    resolved on first use from [PROM_KERNELS] / the CPU probe. Safe to
+    call from several domains at once, including the first call. *)
 val active : unit -> backend
 
 (** [backend_name (active ())]. *)

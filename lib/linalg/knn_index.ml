@@ -1,9 +1,9 @@
 (* Cluster-pruned exact kNN over Featmat rows. Pruning uses the
    triangle inequality d(q,x) >= d(q,c) - r_c per cluster; surviving
    rows are reranked with the same sq_dist kernel the dense scan uses
-   and selected with the same (value, index) quickselect — so the
-   returned top-k is bit-identical to a full scan, pruning only skips
-   rows that provably cannot enter it. *)
+   and selected in the same (value, index) order as the dense
+   selection — so the returned top-k is bit-identical to a full scan,
+   pruning only skips rows that provably cannot enter it. *)
 
 type t = {
   dim : int;

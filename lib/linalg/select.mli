@@ -1,9 +1,33 @@
 (** Top-k selection over float keys, replacing the full O(n log n)
-    sorts on the detector hot path: materialized selection runs a
-    lexicographic quickselect plus a heapsort of the k-prefix
-    (O(n + k log k)); streaming callers use a bounded max-heap
-    (O(n log k)). Ties are broken by element index, so results are a
-    deterministic function of the input. *)
+    sorts on the detector hot path.
+
+    Materialized selection ({!select_in_place}, {!smallest_k}) is an
+    exact radix top-k with no data-dependent branch on its hot loops:
+
+    - {b Key transform.} Each key maps to a 32-bit integer monotone in
+      the float order: the top 32 bits of its IEEE-754 pattern, with the
+      magnitude bits of negative keys flipped and the sign lifted above
+      them. That integer is packed above the element index into one
+      word, so word order is (key, index).
+    - {b Sort.} A stable LSD counting sort orders the words in four
+      passes of 8-bit digits, skipping any pass whose digit is the same
+      for every word. Below 64 keys an insertion sort over the same
+      words replaces the passes; it is the only size-dependent choice.
+    - {b Fix-up.} One linear pass finds runs of words that share the
+      32-bit key, up to the run straddling position [k], and re-sorts
+      each by the low 32 bits of the pattern the same way. A run costs
+      O(run), so many equal keys (a query coinciding with many
+      calibration rows) stay linear.
+    - {b Gather.} The kept values are copied back from the original
+      keys, bit for bit.
+
+    The order is ascending (value, index) over every float: [-0.0] ties
+    [+0.0] (as under [=]), and every NaN sorts after [+infinity], all
+    NaNs tying with each other (so they come out in index order).
+    Results are a deterministic function of the input.
+
+    Streaming callers use a bounded max-heap (O(n log k)) ordered by the
+    float comparisons; its NaN order is unspecified. *)
 
 (** [smallest_k xs k] is the indices of the [k] smallest elements of
     [xs], ordered by ascending (value, index). [k] is clamped to the
@@ -33,45 +57,37 @@ val scratch_keys : scratch -> int -> float array
 (** [select_in_place s ~n ~k] arranges the [k] smallest (value, index)
     pairs of the first [n] keys into the prefix of the workspace,
     ascending by (value, index) — read them back with {!scratch_vals}
-    and {!scratch_idxs}. Destroys the key order. *)
+    and {!scratch_idxs}. Destroys the key order and the index buffer
+    past [k]. The engine's own workspaces grow on first use to the key
+    buffer's capacity. Raises [Invalid_argument] when [k] is outside
+    [[0, n]], [n] exceeds the key buffer or [n >= 2^31]. *)
 val select_in_place : scratch -> n:int -> k:int -> unit
 
 val scratch_vals : scratch -> float array
 val scratch_idxs : scratch -> int array
 
-(** {2 Paired-array selection}
-
-    The quickselect engine over caller-owned parallel (value, id)
-    arrays, for candidate sets whose ids are not positions — e.g. the
-    pruned kNN index reranking member rows gathered from surviving
-    clusters. The (value, id) order matches {!select_in_place}, so the
-    selected prefix is identical to what a dense position-indexed scan
-    keeps. *)
-
-(** [partition_pairs ~vals ~ids ~n ~k] arranges the [k] smallest
-    (value, id) pairs of the first [n] entries into positions
-    [0..k-1], in arbitrary order within the prefix. O(n). *)
-val partition_pairs : vals:float array -> ids:int array -> n:int -> k:int -> unit
-
-(** [sort_pairs_prefix ~vals ~ids ~k] sorts positions [0..k-1]
-    ascending by (value, id). O(k log k). *)
-val sort_pairs_prefix : vals:float array -> ids:int array -> k:int -> unit
-
 (** {2 Triple-array selection}
 
-    {!partition_pairs}/{!sort_pairs_prefix} with a second int payload
-    [aux] permuted alongside. The comparisons still order by
-    (value, id) only, so the selected prefix — and its order — is
-    bit-identical to the paired variant; [aux] is opaque cargo. The
-    pruned kNN index threads each candidate's packed storage position
-    through selection this way, letting the p-value tables be read in
-    cluster-contiguous packed order. *)
+    A comparison quickselect over caller-owned parallel (value, id)
+    arrays, for candidate sets whose ids are not positions, with a
+    second int payload [aux] permuted alongside. The pruned kNN index
+    reranks member rows gathered from surviving clusters this way,
+    threading each candidate's packed storage position through as
+    [aux] so the p-value tables can be read in cluster-contiguous
+    packed order. The comparisons order by (value, id) only, so on
+    non-NaN keys the selected prefix is exactly what a dense
+    position-indexed scan plus {!select_in_place} keeps. *)
 
-(** Like {!partition_pairs}, permuting [aux] alongside. *)
+(** [partition_trips ~vals ~ids ~aux ~n ~k] arranges the [k] smallest
+    (value, id) entries of the first [n] into positions [0..k-1], in
+    arbitrary order within the prefix, permuting [aux] alongside.
+    O(n). *)
 val partition_trips :
   vals:float array -> ids:int array -> aux:int array -> n:int -> k:int -> unit
 
-(** Like {!sort_pairs_prefix}, permuting [aux] alongside. *)
+(** [sort_trips_prefix ~vals ~ids ~aux ~k] sorts positions [0..k-1]
+    ascending by (value, id), permuting [aux] alongside.
+    O(k log k). *)
 val sort_trips_prefix : vals:float array -> ids:int array -> aux:int array -> k:int -> unit
 
 (** {2 Streaming heap}

@@ -252,6 +252,37 @@ let topk_reference xs k =
     idx;
   Array.sub idx 0 (Stdlib.min k n)
 
+(* [topk_reference] with the materialized selection's NaN rule: every
+   NaN sorts after +infinity and NaNs tie (index order). Equal to
+   [topk_reference] on NaN-free input. *)
+let topk_reference_nan_last xs k =
+  let n = Array.length xs in
+  let idx = Array.init n Fun.id in
+  let cmp a b =
+    match (Float.is_nan a, Float.is_nan b) with
+    | true, true -> 0
+    | true, false -> 1
+    | false, true -> -1
+    | false, false -> Float.compare a b
+  in
+  Array.sort (fun i j -> match cmp xs.(i) xs.(j) with 0 -> compare i j | c -> c) idx;
+  Array.sub idx 0 (Stdlib.min k n)
+
+(* Run [select_in_place] on [xs] in workspace [s]; true when the kept
+   prefix has exactly the reference's indices and each kept value has
+   the bits of its key. *)
+let select_matches ?(reference = topk_reference) s xs k =
+  let n = Array.length xs in
+  Array.blit xs 0 (Select.scratch_keys s n) 0 n;
+  Select.select_in_place s ~n ~k;
+  let idxs = Array.sub (Select.scratch_idxs s) 0 k in
+  let vals = Select.scratch_vals s in
+  idxs = reference xs k
+  && Array.for_all Fun.id
+       (Array.mapi
+          (fun r i -> Int64.equal (Int64.bits_of_float vals.(r)) (Int64.bits_of_float xs.(i)))
+          idxs)
+
 let select_tests =
   [
     Alcotest.test_case "smallest_k on a hand case" `Quick (fun () ->
@@ -302,6 +333,39 @@ let select_tests =
               "full sort" (topk_reference xs n)
               (Array.sub (Select.scratch_idxs s) 0 n))
           [ [| 3.0; 1.0 |]; [| 9.0; 2.0; 2.0; 7.0; 0.0 |]; [| 1.0 |] ]);
+    Alcotest.test_case "all-equal keys past the radix cutoff stay in index order" `Quick
+      (fun () ->
+        let s = Select.scratch_create () in
+        List.iter
+          (fun (n, v) ->
+            let xs = Array.make n v in
+            List.iter
+              (fun k ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "n=%d k=%d" n k)
+                  true
+                  (select_matches ~reference:topk_reference_nan_last s xs k))
+              [ 0; 1; n / 2; n - 1; n ])
+          [ (4096, 3.0); (5000, 0.0); (4096, nan); (65536, 1.5) ]);
+    Alcotest.test_case "NaN sorts last and -0.0 ties +0.0" `Quick (fun () ->
+        let xs =
+          Array.init 200 (fun i ->
+              match i mod 5 with
+              | 0 -> nan
+              | 1 -> -0.0
+              | 2 -> 0.0
+              | 3 -> Int64.float_of_bits 0xFFF8_0000_0000_0001L (* a negative NaN *)
+              | _ -> infinity)
+        in
+        let s = Select.scratch_create () in
+        Alcotest.(check bool) "full order" true
+          (select_matches ~reference:topk_reference_nan_last s xs 200);
+        let idxs = Select.smallest_k xs 200 in
+        Alcotest.(check (array int)) "zeros by index, then infinities"
+          (Array.init 120 (fun j -> if j < 80 then (5 * (j / 2)) + 1 + (j mod 2) else (5 * (j - 80)) + 4))
+          (Array.sub idxs 0 120);
+        Alcotest.(check bool) "then every NaN" true
+          (Array.for_all (fun i -> Float.is_nan xs.(i)) (Array.sub idxs 120 80)));
     Alcotest.test_case "heap_reset + drain_into reuse one heap" `Quick (fun () ->
         let h = Select.heap_create 0 in
         let idxs = Array.make 8 (-1) and vals = Array.make 8 nan in
@@ -567,6 +631,67 @@ let prop_heap_topk =
       Array.iteri (fun i v -> Select.offer h v i) xs;
       Array.map fst (Select.drain_sorted h) = topk_reference xs k)
 
+(* Keys that stress the radix engine: a few distinct values (long
+   equal runs), ulp neighbours sharing their high 32 bits (fix-up runs),
+   signed zeros, subnormals and extremes, and ordinary spreads of both
+   signs. Sizes straddle the insertion-sort cutoff and reach past one
+   digit bucket per key. *)
+let radix_keys =
+  let open QCheck2.Gen in
+  let ulps base j =
+    let x = ref base in
+    for _ = 1 to j do
+      x := Float.succ !x
+    done;
+    !x
+  in
+  let edges =
+    [|
+      0.0; -0.0; Float.min_float; -.Float.min_float; Int64.float_of_bits 1L;
+      -.Int64.float_of_bits 1L; Int64.float_of_bits 0xF_FFFFL; 1e300; -1e300;
+      Float.max_float; infinity; neg_infinity;
+    |]
+  in
+  let family =
+    oneofl
+      [
+        map float_of_int (int_range 0 5);
+        map2 ulps (oneofl [ 1.5; -2.25; 1e-310; 37.0 ]) (int_range 0 7);
+        oneofa edges;
+        float_range (-1e3) 1e3;
+      ]
+  in
+  oneof [ int_range 0 130; int_range 0 5000 ] >>= fun n ->
+  list_size (int_range 1 3) family >>= fun fams ->
+  array_size (return n) (oneofl fams >>= Fun.id)
+
+let radix_case = QCheck2.Gen.(radix_keys >>= fun xs -> pair (return xs) (int_range 0 (Array.length xs)))
+
+let radix_scratch = Select.scratch_create ()
+
+let prop_select_in_place_radix =
+  QCheck2.Test.make ~name:"select_in_place equals the reference across the radix cutoff"
+    ~count:150 radix_case (fun (xs, k) -> select_matches radix_scratch xs k)
+
+let prop_smallest_k_radix =
+  QCheck2.Test.make ~name:"smallest_k(_pairs) equal the reference across the radix cutoff"
+    ~count:100 radix_case (fun (xs, k) ->
+      let expect = topk_reference xs k in
+      Select.smallest_k xs k = expect
+      && Array.for_all2
+           (fun (i, v) j ->
+             i = j && Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float xs.(j)))
+           (Select.smallest_k_pairs xs k) expect)
+
+let prop_select_nan_last =
+  QCheck2.Test.make ~name:"select_in_place sorts every NaN last, in index order" ~count:60
+    QCheck2.Gen.(
+      radix_case >>= fun (xs, k) ->
+      array_size (return (Array.length xs)) (oneofl [ None; None; None; Some nan; Some (-.nan) ])
+      >|= fun holes ->
+      (Array.map2 (fun x h -> Option.value h ~default:x) xs holes, k))
+    (fun (xs, k) -> select_matches ~reference:topk_reference_nan_last radix_scratch xs k)
+
 let prop_triangle =
   QCheck2.Test.make ~name:"euclidean satisfies triangle inequality" ~count:200
     QCheck2.Gen.(
@@ -785,7 +910,8 @@ let properties =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_triangle; prop_softmax; prop_quantile_monotone; prop_mean_bounds; prop_solve;
-      prop_smallest_k; prop_heap_topk; prop_sq_dist_row_exact; prop_sq_dists_block_exact;
+      prop_smallest_k; prop_heap_topk; prop_select_in_place_radix; prop_smallest_k_radix;
+      prop_select_nan_last; prop_sq_dist_row_exact; prop_sq_dists_block_exact;
       prop_sq_dists_rows_block_exact; prop_kernel_backends_bit_identical;
       prop_knn_index_parity; prop_knn_index_insert_parity;
     ]
