@@ -1122,9 +1122,25 @@ let index_identity_scaler ~dim =
 
 let index_synthetic_loo = Array.init 512 (fun i -> 0.05 *. float_of_int i)
 
-let index_cls_world ~rng ~n ~dim =
+(* The non-prunable regime of the streaming workload: 4 overlapping
+   16-d class blobs (sigma 1.5 around means in [-1.5, 1.5]), where the
+   cluster bounds skip almost nothing and every query computes nearly
+   every row. *)
+let overlap_blob_sampler rng ~dim =
+  let means =
+    Array.init 4 (fun _ ->
+        Array.init dim (fun _ -> Prom_linalg.Rng.uniform rng ~lo:(-1.5) ~hi:1.5))
+  in
+  fun i ->
+    let m = means.(i mod 4) in
+    Array.init dim (fun j -> m.(j) +. Prom_linalg.Rng.gaussian rng ~mu:0.0 ~sigma:1.5)
+
+let overlap_config = { Config.default with Config.select_ratio = 0.01 }
+
+let index_cls_world ?(config = index_config) ?(sampler = index_blob_sampler) ~rng ~n ~dim
+    () =
   let open Prom_ml in
-  let sample = index_blob_sampler rng ~dim in
+  let sample = sampler rng ~dim in
   let feats = Array.init n sample in
   let w = Array.init dim (fun _ -> Prom_linalg.Rng.uniform rng ~lo:(-1.0) ~hi:1.0) in
   let predict_proba x =
@@ -1140,7 +1156,7 @@ let index_cls_world ~rng ~n ~dim =
       feats
   in
   let restore () =
-    Calibration.restore_cls ~entries ~config:index_config
+    Calibration.restore_cls ~entries ~config
       ~scaler:(index_identity_scaler ~dim) ~tau:1.0 ~loo_distances:index_synthetic_loo ()
   in
   let cal_scan = with_index_threshold "1000000000" restore in
@@ -1183,118 +1199,152 @@ let index_reg_world ~rng ~n ~dim =
   let cal_ix = with_index_threshold "1" restore in
   (model, cal_scan, cal_ix, sample)
 
+(* One scan-vs-index row: the verdict-parity gates (classification,
+   and regression when [with_reg]), then interleaved timing. *)
+let index_row ?(config = index_config) ?(sampler = index_blob_sampler) ~rng ~dim ~n
+    ~n_queries ~quota ~with_reg () =
+  let committee = Nonconformity.default_committee in
+  let model, cal_scan, cal_ix, sample = index_cls_world ~config ~sampler ~rng ~n ~dim () in
+  (match Calibration.index_of_cls cal_scan with
+  | Some _ -> failwith "index bench: scan arm unexpectedly indexed"
+  | None -> ());
+  let idx =
+    match Calibration.index_of_cls cal_ix with
+    | Some i -> i
+    | None -> failwith "index bench: index arm carries no index"
+  in
+  let t0 = Unix.gettimeofday () in
+  ignore (Prom_linalg.Knn_index.build cal_ix.Calibration.feat_matrix);
+  let build_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+  let det_scan =
+    Detector.Classification.of_calibration ~config ~committee ~model ~feature_of:Fun.id
+      cal_scan
+  in
+  let det_ix =
+    Detector.Classification.of_calibration ~config ~committee ~model ~feature_of:Fun.id
+      cal_ix
+  in
+  let queries = Array.init n_queries (fun i -> sample (5 * i)) in
+  (* Bit-identity gate: verdicts must match the dense scan exactly,
+     sequentially and batched, before anything is timed. *)
+  let vs = Array.map (Detector.Classification.evaluate det_scan) queries in
+  let vi = Array.map (Detector.Classification.evaluate det_ix) queries in
+  if vs <> vi then failwith "index bench: indexed verdicts diverged from scan";
+  let vb = Detector.Classification.evaluate_batch det_ix queries in
+  if vb <> vs then failwith "index bench: indexed batch verdicts diverged";
+  if with_reg then begin
+    let rmodel, rcal_scan, rcal_ix, rsample = index_reg_world ~rng ~n ~dim in
+    let rcommittee = Nonconformity.default_reg_committee in
+    let rdet_scan =
+      Detector.Regression.of_calibration ~config:index_config ~committee:rcommittee
+        ~model:rmodel ~feature_of:Fun.id rcal_scan
+    in
+    let rdet_ix =
+      Detector.Regression.of_calibration ~config:index_config ~committee:rcommittee
+        ~model:rmodel ~feature_of:Fun.id rcal_ix
+    in
+    let rqueries = Array.init n_queries (fun i -> rsample (3 * i)) in
+    let rs = Array.map (Detector.Regression.evaluate rdet_scan) rqueries in
+    let ri = Array.map (Detector.Regression.evaluate rdet_ix) rqueries in
+    if rs <> ri then failwith "index bench: regression indexed verdicts diverged from scan";
+    let rb = Detector.Regression.evaluate_batch rdet_ix rqueries in
+    if rb <> rs then failwith "index bench: regression indexed batch verdicts diverged";
+    Printf.printf "  regression verdicts bit-identical at n=%d: true\n" n
+  end;
+  let before = Prom_linalg.Knn_index.stats idx in
+  let qi = ref 0 in
+  let pick () =
+    let q = queries.(!qi) in
+    qi := (!qi + 1) mod n_queries;
+    q
+  in
+  let ns =
+    ns_interleaved ~quota ~rounds:3
+      [|
+        ( Printf.sprintf "scan-%d" n,
+          fun () -> ignore (Detector.Classification.evaluate det_scan (pick ())) );
+        ( Printf.sprintf "index-%d" n,
+          fun () -> ignore (Detector.Classification.evaluate det_ix (pick ())) );
+      |]
+  in
+  let after = Prom_linalg.Knn_index.stats idx in
+  let scan_ns = ns.(0) and index_ns = ns.(1) in
+  let scanned = after.st_scanned - before.st_scanned in
+  let pruned = after.st_rows_pruned - before.st_rows_pruned in
+  let cpruned = after.st_clusters_pruned - before.st_clusters_pruned in
+  let tq = after.st_queries - before.st_queries in
+  let prune_frac =
+    if scanned + pruned = 0 then 0.0 else float_of_int pruned /. float_of_int (scanned + pruned)
+  in
+  let clusters = Prom_linalg.Knn_index.clusters idx in
+  let qps ns = 1e9 /. ns in
+  Printf.printf
+    "  n=%-7d d=%-3d scan %9.0f ns/q (%8.0f q/s) | index %9.0f ns/q (%8.0f q/s) | \
+     %5.1fx | clusters %4d | rows pruned %5.1f%% | build %7.1f ms\n"
+    n dim scan_ns (qps scan_ns) index_ns (qps index_ns) (scan_ns /. index_ns) clusters
+    (100.0 *. prune_frac) build_ms;
+  (n, scan_ns, index_ns, clusters, tq, scanned, pruned, cpruned, prune_frac, build_ms)
+
+let index_row_json (n, scan_ns, index_ns, clusters, tq, scanned, pruned, cpruned, frac, build_ms) =
+  Printf.sprintf
+    "{\"n\": %d, \"scan_ns_per_query\": %.1f, \"index_ns_per_query\": %.1f,\n\
+    \     \"scan_queries_per_sec\": %.1f, \"index_queries_per_sec\": %.1f,\n\
+    \     \"speedup\": %.3f, \"clusters\": %d, \"build_ms\": %.2f,\n\
+    \     \"prune\": {\"queries\": %d, \"rows_scanned\": %d, \"rows_pruned\": %d,\n\
+    \               \"clusters_pruned\": %d, \"rows_pruned_frac\": %.4f}}"
+    n scan_ns index_ns (1e9 /. scan_ns) (1e9 /. index_ns) (scan_ns /. index_ns) clusters
+    build_ms tq scanned pruned cpruned frac
+
+(* The machine a figure was measured on: cores, ISA, distance-kernel
+   backend and OCaml version. *)
+let host_json () =
+  let isa =
+    try
+      let ic = Unix.open_process_in "uname -m" in
+      let s = input_line ic in
+      ignore (Unix.close_process_in ic);
+      s
+    with _ -> "unknown"
+  in
+  Printf.sprintf
+    "{\"nproc\": %d, \"isa\": %S, \"kernels_backend\": %S, \"kernels_isa\": %S, \
+     \"ocaml\": %S}"
+    (Domain.recommended_domain_count ())
+    isa
+    (Prom_linalg.Kernels.active_name ())
+    (Prom_linalg.Kernels.active_isa ())
+    Sys.ocaml_version
+
 let index_section ~sizes ~n_queries ~quota ~json_path () =
   section_header "Pruned kNN index: calibration query scaling";
   let rng = Prom_linalg.Rng.create (seed + 31) in
   let dim = 12 in
-  let committee = Nonconformity.default_committee in
   let largest = sizes.(Array.length sizes - 1) in
   let rows =
     Array.map
-      (fun n ->
-        let model, cal_scan, cal_ix, sample = index_cls_world ~rng ~n ~dim in
-        (match Calibration.index_of_cls cal_scan with
-        | Some _ -> failwith "index bench: scan arm unexpectedly indexed"
-        | None -> ());
-        let idx =
-          match Calibration.index_of_cls cal_ix with
-          | Some i -> i
-          | None -> failwith "index bench: index arm carries no index"
-        in
-        let t0 = Unix.gettimeofday () in
-        ignore (Prom_linalg.Knn_index.build cal_ix.Calibration.feat_matrix);
-        let build_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
-        let det_scan =
-          Detector.Classification.of_calibration ~config:index_config ~committee ~model
-            ~feature_of:Fun.id cal_scan
-        in
-        let det_ix =
-          Detector.Classification.of_calibration ~config:index_config ~committee ~model
-            ~feature_of:Fun.id cal_ix
-        in
-        let queries = Array.init n_queries (fun i -> sample (5 * i)) in
-        (* Bit-identity gate: verdicts must match the dense scan exactly,
-           sequentially and batched, before anything is timed. *)
-        let vs = Array.map (Detector.Classification.evaluate det_scan) queries in
-        let vi = Array.map (Detector.Classification.evaluate det_ix) queries in
-        if vs <> vi then failwith "index bench: indexed verdicts diverged from scan";
-        let vb = Detector.Classification.evaluate_batch det_ix queries in
-        if vb <> vs then failwith "index bench: indexed batch verdicts diverged";
-        if n = largest then begin
-          let rmodel, rcal_scan, rcal_ix, rsample = index_reg_world ~rng ~n ~dim in
-          let rcommittee = Nonconformity.default_reg_committee in
-          let rdet_scan =
-            Detector.Regression.of_calibration ~config:index_config
-              ~committee:rcommittee ~model:rmodel ~feature_of:Fun.id rcal_scan
-          in
-          let rdet_ix =
-            Detector.Regression.of_calibration ~config:index_config
-              ~committee:rcommittee ~model:rmodel ~feature_of:Fun.id rcal_ix
-          in
-          let rqueries = Array.init n_queries (fun i -> rsample (3 * i)) in
-          let rs = Array.map (Detector.Regression.evaluate rdet_scan) rqueries in
-          let ri = Array.map (Detector.Regression.evaluate rdet_ix) rqueries in
-          if rs <> ri then
-            failwith "index bench: regression indexed verdicts diverged from scan";
-          let rb = Detector.Regression.evaluate_batch rdet_ix rqueries in
-          if rb <> rs then
-            failwith "index bench: regression indexed batch verdicts diverged";
-          Printf.printf "  regression verdicts bit-identical at n=%d: true\n" n
-        end;
-        let before = Prom_linalg.Knn_index.stats idx in
-        let qi = ref 0 in
-        let pick () =
-          let q = queries.(!qi) in
-          qi := (!qi + 1) mod n_queries;
-          q
-        in
-        let ns =
-          ns_interleaved ~quota ~rounds:3
-            [|
-              ( Printf.sprintf "scan-%d" n,
-                fun () -> ignore (Detector.Classification.evaluate det_scan (pick ())) );
-              ( Printf.sprintf "index-%d" n,
-                fun () -> ignore (Detector.Classification.evaluate det_ix (pick ())) );
-            |]
-        in
-        let after = Prom_linalg.Knn_index.stats idx in
-        let scan_ns = ns.(0) and index_ns = ns.(1) in
-        let scanned = after.st_scanned - before.st_scanned in
-        let pruned = after.st_rows_pruned - before.st_rows_pruned in
-        let cpruned = after.st_clusters_pruned - before.st_clusters_pruned in
-        let tq = after.st_queries - before.st_queries in
-        let prune_frac =
-          if scanned + pruned = 0 then 0.0
-          else float_of_int pruned /. float_of_int (scanned + pruned)
-        in
-        let qps ns = 1e9 /. ns in
-        Printf.printf
-          "  n=%-7d scan %9.0f ns/q (%8.0f q/s) | index %9.0f ns/q (%8.0f q/s) | \
-           %5.1fx | clusters %4d | rows pruned %5.1f%% | build %7.1f ms\n"
-          n scan_ns (qps scan_ns) index_ns (qps index_ns) (scan_ns /. index_ns)
-          (Prom_linalg.Knn_index.clusters idx)
-          (100.0 *. prune_frac) build_ms;
-        ( n, scan_ns, index_ns, Prom_linalg.Knn_index.clusters idx, tq, scanned, pruned,
-          cpruned, prune_frac, build_ms ))
+      (fun n -> index_row ~rng ~dim ~n ~n_queries ~quota ~with_reg:(n = largest) ())
       sizes
+  in
+  (* A store whose clusters cannot prune, behind the same parity gate:
+     the probe then costs a full scan plus the rerank. *)
+  let overlap_dim = 16 in
+  let overlap =
+    index_row ~config:overlap_config ~sampler:overlap_blob_sampler ~rng ~dim:overlap_dim
+      ~n:4096 ~n_queries ~quota ~with_reg:false ()
   in
   let oc = open_out json_path in
   Printf.fprintf oc
-    "{\n  \"dim\": %d,\n  \"select_ratio\": %.3f,\n  \"batch_queries\": %d,\n  \"sizes\": [\n"
-    dim index_config.Config.select_ratio n_queries;
+    "{\n  \"host\": %s,\n  \"dim\": %d,\n  \"select_ratio\": %.3f,\n  \"batch_queries\": %d,\n\
+    \  \"sizes\": [\n"
+    (host_json ()) dim index_config.Config.select_ratio n_queries;
   Array.iteri
-    (fun i (n, scan_ns, index_ns, clusters, tq, scanned, pruned, cpruned, frac, build_ms) ->
-      Printf.fprintf oc
-        "    {\"n\": %d, \"scan_ns_per_query\": %.1f, \"index_ns_per_query\": %.1f,\n\
-        \     \"scan_queries_per_sec\": %.1f, \"index_queries_per_sec\": %.1f,\n\
-        \     \"speedup\": %.3f, \"clusters\": %d, \"build_ms\": %.2f,\n\
-        \     \"prune\": {\"queries\": %d, \"rows_scanned\": %d, \"rows_pruned\": %d,\n\
-        \               \"clusters_pruned\": %d, \"rows_pruned_frac\": %.4f}}%s\n"
-        n scan_ns index_ns (1e9 /. scan_ns) (1e9 /. index_ns) (scan_ns /. index_ns)
-        clusters build_ms tq scanned pruned cpruned frac
+    (fun i row ->
+      Printf.fprintf oc "    %s%s\n" (index_row_json row)
         (if i = Array.length rows - 1 then "" else ","))
     rows;
-  Printf.fprintf oc "  ]\n}\n";
+  Printf.fprintf oc
+    "  ],\n  \"overlapping_blobs\": {\"dim\": %d, \"select_ratio\": %.3f,\n    \"row\": %s}\n}\n"
+    overlap_dim overlap_config.Config.select_ratio (index_row_json overlap);
   close_out oc;
   Printf.printf "  wrote %s\n" json_path
 

@@ -2,8 +2,9 @@
    triangle inequality d(q,x) >= d(q,c) - r_c per cluster; surviving
    rows are reranked with the same sq_dist kernel the dense scan uses
    and selected in the same (value, index) order as the dense
-   selection — so the returned top-k is bit-identical to a full scan,
-   pruning only skips rows that provably cannot enter it. *)
+   selection — so the returned top-k is bit-identical to a full scan;
+   the cluster bound and the per-row filter against the k-th distance
+   only drop rows that provably cannot enter it. *)
 
 type t = {
   dim : int;
@@ -290,16 +291,13 @@ let query_into ?stats ?pos t fm q ~k ~idxs ~vals ~off =
     let qs = Domain.DLS.get qscratch in
     let nc = Array.length t.radii in
     if Array.length qs.cdists < nc then qs.cdists <- Array.make nc 0.0;
-    Featmat.sq_dists_into t.cents q qs.cdists;
-    (* Order clusters by ascending squared lower bound; the bound is
-       monotone along that order, so pruning is a single cut point. *)
-    let keys = Select.scratch_keys qs.csel nc in
-    for c = 0 to nc - 1 do
-      let lb = sqrt (Array.unsafe_get qs.cdists c) -. Array.unsafe_get t.radii c in
-      keys.(c) <- (if lb > 0.0 then lb *. lb else 0.0)
-    done;
+    let cdists = qs.cdists in
+    Featmat.sq_dists_into t.cents q cdists;
+    (* Visit clusters by ascending centroid distance, so the first
+       threshold comes from the nearest rows. *)
+    Array.blit cdists 0 (Select.scratch_keys qs.csel nc) 0 nc;
     Select.select_in_place qs.csel ~n:nc ~k:nc;
-    let cvals = Select.scratch_vals qs.csel and cidx = Select.scratch_idxs qs.csel in
+    let cidx = Select.scratch_idxs qs.csel in
     let packed =
       match Atomic.get t.packed with
       | Some p -> p
@@ -308,43 +306,44 @@ let query_into ?stats ?pos t fm q ~k ~idxs ~vals ~off =
           Atomic.set t.packed (Some p);
           p
     in
-    (* Gather surviving rows as flat (distance, row) candidates and
-       quickselect the k smallest, instead of streaming every row
-       through a bounded heap: candidates arrive from the nearest
-       clusters first, so with a heap nearly every offer paid an
-       O(log k) sift — at the calibration keep sizes (k ~ n/100) that
-       dominated the whole query. Re-selection after a cluster visit
-       re-tightens the prune threshold; the geometric schedule keeps
-       total selection work linear in the gathered count even when
-       pruning never fires. A stale threshold between re-selections is
-       only ever too large, so it prunes less, never wrongly. *)
-    let gathered = ref 0 and visited = ref 0 in
-    let worst = ref infinity and have_worst = ref false in
-    let next_select = ref k in
-    let ci = ref 0 and stop = ref false in
-    while (not !stop) && !ci < nc do
-      let lb2 = Array.unsafe_get cvals !ci in
-      if !have_worst && lb2 *. prune_slack > !worst then stop := true
-      else begin
-        let c = Array.unsafe_get cidx !ci in
+    (* Candidates are (distance, row, packed position) triples. Once k
+       are held, [worst] is the largest kept distance: a row strictly
+       farther cannot enter the top-k, so it is dropped as it is
+       computed (ties and NaN stay, leaving the (value, index)
+       tie-break to the final selection), and a cluster whose lower
+       bound clears it is skipped whole. The list is cut back to its k
+       smallest whenever it reaches 2k, so selection work stays linear
+       in the rows scanned even when no cluster prunes. A threshold is
+       only ever too large between cuts, so it keeps too much, never too
+       little. *)
+    let gathered = ref 0 and visited = ref 0 and scanned = ref 0 in
+    let worst = ref infinity and cut_at = ref k in
+    for ci = 0 to nc - 1 do
+      let c = Array.unsafe_get cidx ci in
+      let lb = sqrt (Array.unsafe_get cdists c) -. Array.unsafe_get t.radii c in
+      let lb2 = if lb > 0.0 then lb *. lb else 0.0 in
+      if not (lb2 *. prune_slack > !worst) then begin
         let m0 = Array.unsafe_get t.offsets c
         and m1 = Array.unsafe_get t.offsets (c + 1) in
         ensure_cand qs ~gathered:!gathered (!gathered + (m1 - m0));
         let cv = qs.cand_vals and cids = qs.cand_ids and cpos = qs.cand_pos in
         (* One range-kernel call reranks the whole cluster (its packed
-           rows are contiguous); ids and packed positions follow in a
-           second, branch-free pass. *)
-        Featmat.sq_dists_range packed ~r0:m0 ~r1:m1 q cv ~off:!gathered;
-        let g = ref !gathered in
+           rows are contiguous); a branch-free pass then compacts the
+           kept rows in place with their ids and packed positions. *)
+        let base = !gathered in
+        Featmat.sq_dists_range packed ~r0:m0 ~r1:m1 q cv ~off:base;
+        let w = !worst and g = ref base in
         for m = m0 to m1 - 1 do
+          let d = Array.unsafe_get cv (base + m - m0) in
+          Array.unsafe_set cv !g d;
           Array.unsafe_set cids !g (Array.unsafe_get t.members m);
           Array.unsafe_set cpos !g m;
-          incr g
+          g := !g + Bool.to_int (not (d > w))
         done;
         gathered := !g;
+        scanned := !scanned + (m1 - m0);
         incr visited;
-        incr ci;
-        if !gathered >= k && !gathered >= !next_select then begin
+        if !gathered >= !cut_at then begin
           Select.partition_trips ~vals:cv ~ids:cids ~aux:cpos ~n:!gathered ~k;
           let w = ref (Array.unsafe_get cv 0) in
           for j = 1 to k - 1 do
@@ -352,12 +351,11 @@ let query_into ?stats ?pos t fm q ~k ~idxs ~vals ~off =
             if v > !w then w := v
           done;
           worst := !w;
-          have_worst := true;
-          next_select := 2 * !gathered
+          gathered := k;
+          cut_at := 2 * k
         end
       end
     done;
-    let scanned = gathered in
     let clusters_pruned = nc - !visited in
     let rows_pruned = t.n - !scanned in
     Atomic.incr t.q_queries;
@@ -370,11 +368,12 @@ let query_into ?stats ?pos t fm q ~k ~idxs ~vals ~off =
         a.ac_scanned <- a.ac_scanned + !scanned;
         a.ac_rows_pruned <- a.ac_rows_pruned + rows_pruned;
         a.ac_clusters_pruned <- a.ac_clusters_pruned + clusters_pruned);
-    (* Either pruning stopped (so at least k candidates were gathered)
-       or every cluster was visited (so all n >= k rows were): the
-       ascending k-prefix is the exact top-k. The packed positions ride
-       along as selection payload — they never enter a comparison, so
-       the kept prefix is identical to the pairs-only selection. *)
+    (* Every row left out was either skipped by a bound or filtered
+       against k held candidates, and all n >= k rows were considered,
+       so at least k remain and their ascending k-prefix is the exact
+       top-k. The packed positions ride along as selection payload —
+       they never enter a comparison, so the kept prefix is identical to
+       the pairs-only selection. *)
     Select.partition_trips ~vals:qs.cand_vals ~ids:qs.cand_ids ~aux:qs.cand_pos
       ~n:!gathered ~k;
     Select.sort_trips_prefix ~vals:qs.cand_vals ~ids:qs.cand_ids ~aux:qs.cand_pos ~k;

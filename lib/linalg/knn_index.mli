@@ -3,22 +3,25 @@
     The index partitions the rows into coarse k-means-style clusters and
     stores, per cluster, its centroid and the radius of its farthest
     member. A query first measures its distance to every centroid
-    (O(√n·d) for the default cluster count), then visits clusters in
-    ascending order of the triangle-inequality lower bound
-    [max 0 (d(q,c) - r_c)]: every row [x] of cluster [c] satisfies
-    [d(q,x) >= d(q,c) - r_c], so once the candidate heap holds [k] rows
-    and the next cluster's bound (squared, with a conservative
-    floating-point margin) exceeds the heap's worst kept distance, that
-    cluster — and every later one — cannot contribute and is skipped
-    without touching its rows.
+    (O(√n·d) for the default cluster count), then visits the clusters
+    in ascending order of centroid distance, so the first rows seen are
+    the nearest. Every row [x] of cluster [c] satisfies
+    [d(q,x) >= d(q,c) - r_c]; once [k] candidates are held, a cluster
+    whose squared bound [max 0 (d(q,c) - r_c)²] (with a conservative
+    floating-point margin) exceeds the largest kept distance cannot
+    contribute and is skipped without touching its rows.
 
-    Surviving rows are reranked {e exactly}: each candidate's squared
-    distance is computed by the same {!Featmat.sq_dist_row} kernel the
-    dense scan uses, and the bounded heap keeps the [k] smallest
-    (value, index) pairs — a canonical set independent of visit order —
-    so the result is bit-identical to a full scan followed by top-k
-    selection. Pruning only decides which rows are {e not} computed;
-    it never alters a kept value.
+    Each visited cluster is reranked {e exactly}: one call of the same
+    distance kernel the dense scan uses computes all of its rows, and
+    only rows not strictly farther than the largest kept distance join
+    the candidate list. Whenever the list reaches [2k] it is cut back to
+    its [k] smallest (value, index) pairs, so a store whose clusters
+    never prune still costs one scan plus work linear in the rows
+    scanned. A final selection and prefix sort order the survivors by
+    (value, index) — a canonical set independent of visit order — so
+    the result is bit-identical to a full scan followed by top-k
+    selection. The bounds and the filter only decide which rows are
+    {e not} kept; they never alter a kept value.
 
     The index is immutable; {!insert_batch} returns an updated copy and
     triggers a full deterministic rebuild when the appended rows
@@ -62,8 +65,9 @@ val inserted_since_build : t -> int
 val member_order : t -> int array
 
 (** Per-query pruning effectiveness, accumulated by the caller: rows
-    whose exact distance was computed, rows skipped by the cluster
-    bound, and clusters skipped whole. *)
+    whose exact distance was computed (the sizes of the visited
+    clusters, whether or not a row survived the filter), rows skipped
+    by the cluster bound, and clusters skipped whole. *)
 type acc = {
   mutable ac_scanned : int;
   mutable ac_rows_pruned : int;
@@ -96,6 +100,12 @@ val stats : t -> stats
     scan/prune counts are added to it (the cumulative {!stats} counters
     update regardless). Safe to call from multiple domains concurrently
     (per-domain scratch; the output slices must not overlap).
+
+    Per-domain candidate scratch stays below [2k] plus the largest
+    cluster: rows strictly farther than the current [k]-th distance
+    are dropped as they are computed, and the list is cut back to [k]
+    whenever it reaches [2k]. Ties at the [k]-th distance are always
+    kept, so the final (value, index) selection decides them.
 
     When [pos] is given, [pos.(off..off+k)] additionally receives each
     selected row's {e packed position} — its index in {!member_order},

@@ -337,9 +337,11 @@ let select_in_place s ~n ~k =
    what lets the calibration tables be read in the cluster-contiguous
    packed layout instead of gathering O(n) memory. It keeps a few dozen
    of thousands of candidates, where an O(n) partition beats the radix
-   engine's full sort. *)
+   engine's full sort. The helpers annotate their array types: left
+   polymorphic, every write would go through caml_modify and every
+   float read would be boxed. *)
 
-let[@inline] swap3 vals ids aux a b =
+let[@inline] swap3 (vals : float array) (ids : int array) (aux : int array) a b =
   let va = Array.unsafe_get vals a
   and ia = Array.unsafe_get ids a
   and xa = Array.unsafe_get aux a in
@@ -351,7 +353,7 @@ let[@inline] swap3 vals ids aux a b =
   Array.unsafe_set aux b xa
 
 (* Insertion sort for tiny ranges (also the base case of the select). *)
-let insertion_sort3 vals ids aux lo hi =
+let insertion_sort3 (vals : float array) (ids : int array) (aux : int array) lo hi =
   for a = lo + 1 to hi - 1 do
     let v = Array.unsafe_get vals a
     and i = Array.unsafe_get ids a
@@ -373,7 +375,7 @@ let insertion_sort3 vals ids aux lo hi =
    range maximum). All (value, id) keys are distinct, so the split is
    always strict and both callers' recursions terminate. Requires
    hi - lo > 3. *)
-let partition_range3 vals ids aux lo hi =
+let partition_range3 (vals : float array) (ids : int array) (aux : int array) lo hi =
   let mid = lo + ((hi - lo) / 2) in
   let last = hi - 1 in
   if
@@ -406,7 +408,7 @@ let partition_range3 vals ids aux lo hi =
 
 (* Arrange [lo, hi) so that positions [lo, k) hold its (k - lo) smallest
    entries, in arbitrary order. Requires lo < k < hi. *)
-let rec select_range3 vals ids aux lo hi k =
+let rec select_range3 (vals : float array) (ids : int array) (aux : int array) lo hi k =
   if hi - lo <= 3 then insertion_sort3 vals ids aux lo hi
   else begin
     let j = partition_range3 vals ids aux lo hi in
@@ -417,7 +419,7 @@ let rec select_range3 vals ids aux lo hi k =
 (* Max-heap sift-down over the subarray [lo, lo + size), heap indices
    relative to [lo]; the engine of the introsort's depth-limit
    fallback. *)
-let sift_down_range3 vals ids aux lo size j0 =
+let sift_down_range3 (vals : float array) (ids : int array) (aux : int array) lo size j0 =
   let v = Array.unsafe_get vals (lo + j0)
   and i = Array.unsafe_get ids (lo + j0)
   and x = Array.unsafe_get aux (lo + j0) in
@@ -452,7 +454,7 @@ let sift_down_range3 vals ids aux lo size j0 =
   Array.unsafe_set ids (lo + j) i;
   Array.unsafe_set aux (lo + j) x
 
-let heapsort_range3 vals ids aux lo hi =
+let heapsort_range3 (vals : float array) (ids : int array) (aux : int array) lo hi =
   let size = hi - lo in
   if size > 1 then begin
     for j = (size / 2) - 1 downto 0 do
@@ -468,7 +470,7 @@ let heapsort_range3 vals ids aux lo hi =
    insertion sort below 16 entries, heapsort once the partition depth
    budget runs out. The keys are distinct, so the order is the same
    whichever path runs. *)
-let rec introsort3 vals ids aux lo hi depth =
+let rec introsort3 (vals : float array) (ids : int array) (aux : int array) lo hi depth =
   if hi - lo <= 16 then insertion_sort3 vals ids aux lo hi
   else if depth = 0 then heapsort_range3 vals ids aux lo hi
   else begin

@@ -504,17 +504,36 @@ let knn_reference fm v k =
   let k = Stdlib.min k n in
   (Array.sub idx 0 k, Array.init k (fun r -> sq.(idx.(r))))
 
+(* Check [queries] against the reference at every k in [ks], sorting
+   each query's distances once; [on_stats k acc] sees each query's
+   scan/prune counts. *)
+let check_index_queries ?(on_stats = fun _ _ -> ()) idx fm queries ks =
+  let kmax = List.fold_left Stdlib.max 1 ks in
+  let gi = Array.make kmax (-1) and gv = Array.make kmax nan in
+  Array.iter
+    (fun v ->
+      let want_i, want_v = knn_reference fm v kmax in
+      List.iter
+        (fun k ->
+          let acc = Knn_index.acc_create () in
+          let m = Knn_index.query_into ~stats:acc idx fm v ~k ~idxs:gi ~vals:gv ~off:0 in
+          let k = Stdlib.min k (Featmat.length fm) in
+          Alcotest.(check int) "count" k m;
+          Alcotest.(check (array int)) "indices" (Array.sub want_i 0 k) (Array.sub gi 0 m);
+          Alcotest.(check (array int64)) "value bits"
+            (Array.map Int64.bits_of_float (Array.sub want_v 0 k))
+            (Array.map Int64.bits_of_float (Array.sub gv 0 m));
+          on_stats k acc)
+        ks)
+    queries
+
+(* The first (up to) 10 rows, shifted off the grid, as queries. *)
 let check_index_parity_built idx fm k =
   let n = Featmat.length fm in
-  let got_i = Array.make (Stdlib.max 1 k) (-1) and got_v = Array.make (Stdlib.max 1 k) nan in
-  for q = 0 to Stdlib.min 9 (n - 1) do
-    let v = Featmat.row fm q |> Array.map (fun x -> x +. 0.125) in
-    let m = Knn_index.query_into idx fm v ~k ~idxs:got_i ~vals:got_v ~off:0 in
-    let want_i, want_v = knn_reference fm v k in
-    Alcotest.(check int) "count" (Array.length want_i) m;
-    Alcotest.(check (array int)) "indices" want_i (Array.sub got_i 0 m);
-    Alcotest.(check (array (float 0.0))) "values" want_v (Array.sub got_v 0 m)
-  done
+  let queries =
+    Array.init (Stdlib.min 10 n) (fun q -> Featmat.row fm q |> Array.map (fun x -> x +. 0.125))
+  in
+  check_index_queries idx fm queries [ k ]
 
 let check_index_parity ?n_clusters fm k =
   let idx =
@@ -526,6 +545,65 @@ let check_index_parity ?n_clusters fm k =
 
 let knn_index_tests =
   [
+    Alcotest.test_case "overlapping blobs: bounds barely prune, every k exact" `Quick
+      (fun () ->
+        (* The streaming calibration geometry: 4 overlapping 16-d blobs
+           (sigma 1.5 around means in [-1.5, 1.5]) at the default
+           cluster count. Cluster bounds skip under 1% of the rows, so
+           exactness rests on the row filter and the cut back to k. *)
+        let n = 4096 and dim = 16 in
+        let rng = Rng.create 11 in
+        let means =
+          Array.init 4 (fun _ -> Array.init dim (fun _ -> Rng.uniform rng ~lo:(-1.5) ~hi:1.5))
+        in
+        let sample i =
+          Array.init dim (fun j -> means.(i mod 4).(j) +. Rng.gaussian rng ~mu:0.0 ~sigma:1.5)
+        in
+        let fm = Featmat.of_rows (Array.init n sample) in
+        let idx = Knn_index.build fm in
+        let queries = Array.init 100 sample in
+        let ks = [ 1; 41; 2048; 4095; 4096 ] in
+        let pruned = Hashtbl.create 8 in
+        let on_stats k (a : Knn_index.acc) =
+          Alcotest.(check int) "every row scanned or pruned" n (a.ac_scanned + a.ac_rows_pruned);
+          Hashtbl.replace pruned k
+            (a.ac_rows_pruned + Option.value ~default:0 (Hashtbl.find_opt pruned k))
+        in
+        check_index_queries ~on_stats idx fm queries ks;
+        (* The regime under test: at every k the index computes more
+           than 99% of all distances (pruned fraction below 0.01), and
+           near k = n it computes every one. *)
+        List.iter
+          (fun k ->
+            let p = Hashtbl.find pruned k in
+            Alcotest.(check bool)
+              (Printf.sprintf "k=%d pruned fraction below 0.01 (%d rows)" k p)
+              true
+              (100 * p < Array.length queries * n);
+            if k >= n - 1 then Alcotest.(check int) "nothing pruned near k = n" 0 p)
+          ks);
+    Alcotest.test_case "duplicated rows: ties straddle the running threshold" `Quick (fun () ->
+        (* 512 integer-grid rows, each stored 8x with ids spread across
+           the matrix: equal distances abound within and across
+           clusters, so rows tying the k-th distance keep arriving after
+           the filter threshold is set. Some queries coincide with a
+           duplicated row, putting the k-th tie at 0.0 for k <= 8. *)
+        let base_n = 512 and dim = 4 in
+        let rng = Rng.create 12 in
+        let base =
+          Array.init base_n (fun _ -> Array.init dim (fun _ -> float_of_int (Rng.int rng 7 - 3)))
+        in
+        let fm = Featmat.of_rows (Array.init (8 * base_n) (fun i -> base.(i mod base_n))) in
+        let queries =
+          Array.init 40 (fun i ->
+              if i mod 2 = 0 then Array.copy base.(Rng.int rng base_n)
+              else Array.init dim (fun _ -> 0.5 *. float_of_int (Rng.int rng 13 - 6)))
+        in
+        List.iter
+          (fun n_clusters ->
+            let idx = Knn_index.build ~n_clusters fm in
+            check_index_queries idx fm queries [ 1; 3; 8; 9; 41; 300; 4096 ])
+          [ 16; 64; 512 ]);
     Alcotest.test_case "query matches the scan on clustered data" `Quick (fun () ->
         let rows =
           Array.init 120 (fun i ->
@@ -842,21 +920,33 @@ let prop_kernel_backends_bit_identical =
 
 (* Row generators biased towards duplicates and tight clusters: integer
    coordinates from a small range make exact ties and zero-radius
-   clusters common, the cases where pruning correctness is subtle. *)
+   clusters common, the cases where pruning correctness is subtle. One
+   case in four is large (n up to 600) so that, with a small k, the
+   candidate list is cut back to k several times per query. *)
 let index_matrix_gen =
   QCheck2.Gen.(
     int_range 1 6 >>= fun dim ->
-    int_range 1 150 >>= fun n ->
+    frequency [ (3, int_range 1 150); (1, int_range 300 600) ] >>= fun n ->
     array_size (return n) (array_size (return dim) (map float_of_int (int_range (-4) 4))))
+
+(* Queries either anywhere in the box or on the half-integer lattice,
+   where distinct integer rows tie at the same distance across clusters. *)
+let index_query_gen dim =
+  QCheck2.Gen.(
+    oneof
+      [
+        array_size (return dim) (float_range (-5.0) 5.0);
+        array_size (return dim) (map (fun i -> 0.5 *. float_of_int i) (int_range (-10) 10));
+      ])
 
 let prop_knn_index_parity =
   QCheck2.Test.make ~name:"Knn_index.query_into bit-equals the full scan" ~count:150
     QCheck2.Gen.(
       index_matrix_gen >>= fun rows ->
       let n = Array.length rows and dim = Array.length rows.(0) in
-      int_range 1 (n + 3) >>= fun k ->
+      oneof [ int_range 1 (n + 3); int_range 1 (Stdlib.max 1 (n / 8)) ] >>= fun k ->
       int_range 1 (n + 2) >>= fun nc ->
-      array_size (return dim) (float_range (-5.0) 5.0) >>= fun q ->
+      index_query_gen dim >>= fun q ->
       return (rows, k, nc, q))
     (fun (rows, k, nc, q) ->
       let fm = Featmat.of_rows rows in
