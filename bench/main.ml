@@ -1296,8 +1296,9 @@ let index_row_json (n, scan_ns, index_ns, clusters, tq, scanned, pruned, cpruned
     build_ms tq scanned pruned cpruned frac
 
 (* The machine a figure was measured on: cores, ISA, distance-kernel
-   backend and OCaml version. *)
-let host_json () =
+   backend, OCaml version and, where a section runs on a domain pool,
+   the pool's size. *)
+let host_json ?pool_domains () =
   let isa =
     try
       let ic = Unix.open_process_in "uname -m" in
@@ -1306,14 +1307,18 @@ let host_json () =
       s
     with _ -> "unknown"
   in
-  Printf.sprintf
-    "{\"nproc\": %d, \"isa\": %S, \"kernels_backend\": %S, \"kernels_isa\": %S, \
-     \"ocaml\": %S}"
-    (Domain.recommended_domain_count ())
-    isa
-    (Prom_linalg.Kernels.active_name ())
-    (Prom_linalg.Kernels.active_isa ())
-    Sys.ocaml_version
+  Prom_jsonx.Obj
+    ([
+       ("nproc", Prom_jsonx.Num (float_of_int (Domain.recommended_domain_count ())));
+       ("isa", Prom_jsonx.Str isa);
+       ("kernels_backend", Prom_jsonx.Str (Prom_linalg.Kernels.active_name ()));
+       ("kernels_isa", Prom_jsonx.Str (Prom_linalg.Kernels.active_isa ()));
+       ("ocaml", Prom_jsonx.Str Sys.ocaml_version);
+     ]
+    @
+    match pool_domains with
+    | Some d -> [ ("pool_domains", Prom_jsonx.Num (float_of_int d)) ]
+    | None -> [])
 
 let index_section ~sizes ~n_queries ~quota ~json_path () =
   section_header "Pruned kNN index: calibration query scaling";
@@ -1336,7 +1341,7 @@ let index_section ~sizes ~n_queries ~quota ~json_path () =
   Printf.fprintf oc
     "{\n  \"host\": %s,\n  \"dim\": %d,\n  \"select_ratio\": %.3f,\n  \"batch_queries\": %d,\n\
     \  \"sizes\": [\n"
-    (host_json ()) dim index_config.Config.select_ratio n_queries;
+    (Prom_jsonx.to_string (host_json ())) dim index_config.Config.select_ratio n_queries;
   Array.iteri
     (fun i row ->
       Printf.fprintf oc "    %s%s\n" (index_row_json row)
@@ -1359,7 +1364,7 @@ let index_smoke () =
 (* Serving-layer benchmark: closed-loop load generation against the
    in-process HTTP server — throughput and latency percentiles at
    several keep-alive concurrency levels, a wire-identity check against
-   the direct [Service.evaluate_batch] path, and the adaptive-batching
+   the direct [Service.evaluate_batch] path, and the micro-batching
    speedup over a max_batch=1 server. The [serve-smoke] variant also
    drives a spawned `prom_cli serve` process end to end when the
    bench-smoke alias provides the binary path via PROM_CLI. *)
@@ -1563,10 +1568,23 @@ let serve_section ~n_cal ~levels ~requests ~json_path () =
         | _ -> 0.0
       in
       Printf.printf "  mean dispatched batch size: %.2f\n" mean_batch;
+      (* The c=1 median against the ceiling's per-query cost: the gap
+         is what one request pays on top of pure evaluation. *)
+      let c1_p50_ms =
+        List.find_map
+          (fun (c, _, _, _, p50, _, _) -> if c = 1 then Some p50 else None)
+          level_rows
+      in
+      Option.iter
+        (fun p50 ->
+          Printf.printf
+            "  c=1 p50 %.3f ms vs %.3f ms/query at the inference ceiling\n" p50
+            (1000.0 /. ceiling_qps))
+        c1_p50_ms;
       Server.stop server;
-      (* Adaptive batching vs a max_batch=1 server at the highest level. *)
+      (* Micro-batching vs a max_batch=1 server at the highest level. *)
       let unbatched_config =
-        { config with Server.max_batch = 1; max_wait_us = 0 }
+        { config with Server.max_batch = 1 }
       in
       let server1 = Server.start ~config:unbatched_config ~pool service in
       let _, failures1, _, rps1, _ =
@@ -1580,7 +1598,7 @@ let serve_section ~n_cal ~levels ~requests ~json_path () =
           0.0 level_rows
       in
       Printf.printf
-        "  adaptive batching vs max_batch=1 at c=%d: %.0f vs %.0f req/s (%.2fx)\n"
+        "  batching vs max_batch=1 at c=%d: %.0f vs %.0f req/s (%.2fx)\n"
         top batched_rps rps1
         (if rps1 > 0.0 then batched_rps /. rps1 else 0.0);
       let row_json (c, total, wall, rps, p50, p90, p99) =
@@ -1600,9 +1618,12 @@ let serve_section ~n_cal ~levels ~requests ~json_path () =
       let doc =
         Jx.Obj
           [
+            ("host", host_json ~pool_domains:n_domains ());
             ("calibration_entries", Jx.Num (float_of_int n_cal));
             ("requests_per_connection", Jx.Num (float_of_int requests));
             ("inference_ceiling_qps", Jx.Num ceiling_qps);
+            ( "c1_p50_ms",
+              match c1_p50_ms with Some p -> Jx.Num p | None -> Jx.Null );
             ("mean_batch_size", Jx.Num mean_batch);
             ("levels", Jx.Arr (List.map row_json level_rows));
             ( "unbatched_comparison",

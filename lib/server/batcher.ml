@@ -26,7 +26,6 @@ type ('a, 'b) kq = {
 type ('a, 'b) t = {
   run : 'a array -> 'b array;
   max_batch : int;
-  max_wait_s : float;
   capacity : int;
   key_capacity : int;
   quantum : int;
@@ -46,14 +45,16 @@ type ('a, 'b) t = {
   mutable depth : int;
   mutable stopping : bool;
   mutable joined : bool;
-  (* True only while the dispatcher is parked in [wait_for_wake];
-     submitters skip the wake-pipe write (a syscall per request under
-     load) whenever the dispatcher is awake and will re-check the queue
-     under the lock anyway. *)
+  (* True only while the dispatcher is parked in [wait_for_wake] with
+     no wake byte in flight; whoever writes the byte clears it, so one
+     park costs at most one wake syscall, and nobody writes while the
+     dispatcher is awake (it re-checks the queue under the lock before
+     parking again). *)
   mutable waiting : bool;
-  (* Self-pipe: OCaml has no [Condition.timedwait], so the dispatcher's
-     timed waits are [select] on this pipe; submitters write one byte
-     after every enqueue (and [shutdown] after flipping [stopping]). *)
+  (* Self-pipe the parked dispatcher polls. A [Condition] park would
+     be simpler but is slower: the signalled waiter reacquires the
+     batcher mutex first and then blocks on the runtime lock while
+     holding it, stalling every submitter behind it. *)
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
   mutable dispatcher : Thread.t option;
@@ -75,12 +76,18 @@ let drain_wake t =
   in
   go ()
 
-(* Block (without the lock held) until woken or [timeout] seconds pass;
-   negative timeout blocks indefinitely. Poll-backed: the self-pipe's
-   descriptor number is unbounded under thousands of connections, which
-   would corrupt a select fd_set. *)
-let wait_for_wake t timeout =
-  match Evloop.wait_readable t.wake_r ~timeout with
+(* Called with the lock held: wake the dispatcher if it is parked. *)
+let wake_parked t =
+  if t.waiting then begin
+    t.waiting <- false;
+    wake t
+  end
+
+(* Park (without the lock held) until woken. Poll-backed: the
+   self-pipe's descriptor number is unbounded under thousands of
+   connections, which would corrupt a select fd_set. *)
+let wait_for_wake t =
+  match Evloop.wait_readable t.wake_r ~timeout:(-1.0) with
   | `Timeout -> ()
   | `Ready -> drain_wake t
 
@@ -194,7 +201,7 @@ let dispatcher_loop t =
     while t.depth = 0 && not t.stopping do
       t.waiting <- true;
       Mutex.unlock t.lock;
-      wait_for_wake t (-1.0);
+      wait_for_wake t;
       Mutex.lock t.lock;
       t.waiting <- false
     done;
@@ -205,23 +212,10 @@ let dispatcher_loop t =
       running := false
     end
     else begin
-      (* Adaptive wait: give late arrivals up to [max_wait_s] to join
-         this batch, unless it is already full or we are draining. *)
-      if t.depth < t.max_batch && not t.stopping && t.max_wait_s > 0.0 then begin
-        let deadline = Unix.gettimeofday () +. t.max_wait_s in
-        let rec linger () =
-          let remaining = deadline -. Unix.gettimeofday () in
-          if remaining > 0.0 && t.depth < t.max_batch && not t.stopping then begin
-            t.waiting <- true;
-            Mutex.unlock t.lock;
-            wait_for_wake t remaining;
-            Mutex.lock t.lock;
-            t.waiting <- false;
-            linger ()
-          end
-        in
-        linger ()
-      end;
+      (* Whatever is queued now is the batch: under load, everything
+         that arrived while the previous batch ran; from idle, a whole
+         event-loop round, since async submitters wake the dispatcher
+         only at [flush]. *)
       let cells, n, shares = drain_round t in
       let depth_now = t.depth in
       Mutex.unlock t.lock;
@@ -235,10 +229,10 @@ let dispatcher_loop t =
     end
   done
 
-let create ?(max_batch = 64) ?(max_wait_us = 2000) ?(capacity = 1024)
-    ?key_capacity ?quantum ?(on_depth = fun _ -> ())
-    ?(on_key_depth = fun _ _ -> ()) ?(on_batch = fun _ -> ())
-    ?(on_share = fun _ _ -> ()) ?(before_batch = fun () -> ()) run =
+let create ?(max_batch = 64) ?(capacity = 1024) ?key_capacity ?quantum
+    ?(on_depth = fun _ -> ()) ?(on_key_depth = fun _ _ -> ())
+    ?(on_batch = fun _ -> ()) ?(on_share = fun _ _ -> ())
+    ?(before_batch = fun () -> ()) run =
   if max_batch < 1 then invalid_arg "Batcher.create: max_batch < 1";
   if capacity < 1 then invalid_arg "Batcher.create: capacity < 1";
   let key_capacity = Option.value ~default:capacity key_capacity in
@@ -252,7 +246,6 @@ let create ?(max_batch = 64) ?(max_wait_us = 2000) ?(capacity = 1024)
     {
       run;
       max_batch;
-      max_wait_s = float_of_int (Stdlib.max 0 max_wait_us) /. 1e6;
       capacity;
       key_capacity;
       quantum;
@@ -292,7 +285,6 @@ let enqueue t ~key cell k =
       Queue.push cell kq.kqueue;
       kq.kdepth <- kq.kdepth + k;
       t.depth <- t.depth + k;
-      if t.waiting then wake t;
       Ok (t.depth, kq.kdepth)
     end
   end
@@ -308,6 +300,9 @@ let submit_many ?(key = 0) t items =
         Mutex.unlock t.lock;
         e
     | Ok (depth_now, kdepth_now) ->
+        (* A blocked caller has nothing more to add to the batch, so
+           the dispatcher is woken now rather than at a [flush]. *)
+        wake_parked t;
         Mutex.unlock t.lock;
         t.on_depth depth_now;
         t.on_key_depth key kdepth_now;
@@ -341,6 +336,11 @@ let submit_async ?(key = 0) t items ~notify =
         t.on_depth depth_now;
         t.on_key_depth key kdepth_now
   end
+
+let flush t =
+  Mutex.lock t.lock;
+  if t.depth > 0 then wake_parked t;
+  Mutex.unlock t.lock
 
 let submit ?key t item =
   match submit_many ?key t [| item |] with

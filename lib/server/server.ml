@@ -10,7 +10,6 @@ module Tenant = Prom.Tenant
 type config = {
   port : int;
   max_batch : int;
-  max_wait_us : int;
   queue_capacity : int;
   tenant_capacity : int;
   quantum : int;
@@ -24,7 +23,6 @@ let default_config =
   {
     port = 0;
     max_batch = 64;
-    max_wait_us = 2000;
     queue_capacity = 1024;
     tenant_capacity = 1024;
     quantum = 0;
@@ -671,6 +669,12 @@ let rec accept_burst t sh =
         end
         else begin
           Unix.set_nonblock fd;
+          (* Without TCP_NODELAY Nagle holds each small response until
+             the client ACKs the previous one, and the client delays
+             that ACK (~40 ms on Linux). Best effort: a socket that
+             refuses the option still serves, just slower. *)
+          (try Unix.setsockopt fd Unix.TCP_NODELAY true
+           with Unix.Unix_error _ -> ());
           let c =
             {
               cfd = fd;
@@ -776,6 +780,10 @@ let shard_loop t sh =
                 close_conn t sh c))
       (List.rev !events);
     drain_completions t sh;
+    (* One dispatcher wake per round, after every request this round
+       read — including pipelined ones resumed by [drain_completions] —
+       has been submitted, so they run as one batch. *)
+    Batcher.flush t.batcher;
     let now = Unix.gettimeofday () in
     if Atomic.get t.stopping || now -. sh.last_sweep >= 1.0 then begin
       sh.last_sweep <- now;
@@ -832,8 +840,8 @@ let start ?(config = default_config) ?telemetry ?pool ?snapshot_dir ?tenants
          slots)
   in
   let batcher =
-    Batcher.create ~max_batch:config.max_batch ~max_wait_us:config.max_wait_us
-      ~capacity:config.queue_capacity ~key_capacity:config.tenant_capacity
+    Batcher.create ~max_batch:config.max_batch ~capacity:config.queue_capacity
+      ~key_capacity:config.tenant_capacity
       ?quantum:(if config.quantum > 0 then Some config.quantum else None)
       ~on_depth:(fun d ->
         Obs.Gauge.set (Telemetry.Http.queue_depth http) (float_of_int d))

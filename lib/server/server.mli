@@ -44,8 +44,14 @@
     coalesce into shared batch rounds (partitioned back per tenant, one
     [evaluate_batch] per tenant per round, on the shared domain pool)
     under a deficit round-robin quota, so a hot tenant's backlog cannot
-    starve a cold tenant's lone request. Batch completions re-arm the
-    waiting connections' writers through the owning shard's self-pipe.
+    starve a cold tenant's lone request. There is no batching timer:
+    each shard wakes the dispatcher once per event-loop round, after
+    submitting every request it read in that round, and a busy
+    dispatcher picks up whatever queued while its last batch ran. Batch
+    completions re-arm the waiting connections' writers through the
+    owning shard's self-pipe. Accepted sockets set [TCP_NODELAY], so a
+    small response is never held back waiting for the client's ACK of
+    the previous one.
     When the batch queue is full — globally ([queue_capacity]) or for
     the submitting tenant ([tenant_capacity]) — the server answers
     [503 Service Unavailable] with [Retry-After] instead of queueing
@@ -57,8 +63,10 @@
 (** Tunables for one server instance. *)
 type config = {
   port : int;  (** TCP port on 127.0.0.1; [0] picks an ephemeral port *)
-  max_batch : int;  (** dispatch a batch once this many queries wait *)
-  max_wait_us : int;  (** ... or once the oldest has waited this long *)
+  max_batch : int;
+      (** most queries one batch takes from the queue; a free
+          dispatcher runs whatever is queued without waiting for a
+          batch to fill *)
   queue_capacity : int;  (** queries queued beyond this are 503'd *)
   tenant_capacity : int;
       (** per-tenant queue cap, layered under [queue_capacity]: one
@@ -77,8 +85,8 @@ type config = {
           [<= 0.] disables the sweep *)
 }
 
-(** [{ port = 0; max_batch = 64; max_wait_us = 2000; queue_capacity =
-    1024; tenant_capacity = 1024; quantum = 0; max_body_bytes = 4 MiB;
+(** [{ port = 0; max_batch = 64; queue_capacity = 1024;
+    tenant_capacity = 1024; quantum = 0; max_body_bytes = 4 MiB;
     max_connections = 256; shards = 1; idle_timeout_s = 30. }]. *)
 val default_config : config
 

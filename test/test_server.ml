@@ -123,7 +123,7 @@ let batcher_tests =
   [
     Alcotest.test_case "outputs are grouped and ordered" `Quick (fun () ->
         let b =
-          Batcher.create ~max_batch:8 ~max_wait_us:500
+          Batcher.create ~max_batch:8
             (Array.map (fun x -> x * 2))
         in
         let results = Array.make 6 (Ok [||]) in
@@ -153,7 +153,7 @@ let batcher_tests =
         let sizes = ref [] in
         let sizes_lock = Mutex.create () in
         let b =
-          Batcher.create ~max_batch:64 ~max_wait_us:1000
+          Batcher.create ~max_batch:64
             ~on_batch:(fun n ->
               Mutex.lock sizes_lock;
               sizes := n :: !sizes;
@@ -177,7 +177,7 @@ let batcher_tests =
     Alcotest.test_case "bounded queue rejects overload, then recovers" `Quick
       (fun () ->
         let b =
-          Batcher.create ~max_batch:1 ~max_wait_us:0 ~capacity:2
+          Batcher.create ~max_batch:1 ~capacity:2
             ~before_batch:(fun () -> Thread.delay 0.3)
             (Array.map succ)
         in
@@ -207,7 +207,7 @@ let batcher_tests =
         Batcher.shutdown b);
     Alcotest.test_case "evaluation failure is isolated" `Quick (fun () ->
         let b =
-          Batcher.create ~max_batch:4 ~max_wait_us:100
+          Batcher.create ~max_batch:4
             (Array.map (fun x -> if x < 0 then failwith "boom" else x + 1))
         in
         (match Batcher.submit b (-1) with
@@ -226,7 +226,7 @@ let batcher_tests =
     Alcotest.test_case "shutdown answers every accepted submitter" `Quick
       (fun () ->
         let b =
-          Batcher.create ~max_batch:1 ~max_wait_us:0
+          Batcher.create ~max_batch:1
             ~before_batch:(fun () -> Thread.delay 0.1)
             (Array.map succ)
         in
@@ -256,7 +256,7 @@ let batcher_tests =
         let bref = ref None in
         let fired = ref 0 in
         let b =
-          Batcher.create ~max_batch:4 ~max_wait_us:100
+          Batcher.create ~max_batch:4
             ~on_depth:(fun _ ->
               (match !bref with
               | Some b -> ignore (Batcher.depth b)
@@ -283,7 +283,7 @@ let batcher_tests =
           Mutex.unlock olock
         in
         let b =
-          Batcher.create ~max_batch:2 ~max_wait_us:100 ~quantum:1
+          Batcher.create ~max_batch:2 ~quantum:1
             ~before_batch:(fun () -> Thread.delay 0.15)
             (Array.map succ)
         in
@@ -315,7 +315,7 @@ let batcher_tests =
     Alcotest.test_case "per-key capacity rejects the hot key only" `Quick
       (fun () ->
         let b =
-          Batcher.create ~max_batch:1 ~max_wait_us:0 ~capacity:16
+          Batcher.create ~max_batch:1 ~capacity:16
             ~key_capacity:2
             ~before_batch:(fun () -> Thread.delay 0.2)
             (Array.map succ)
@@ -351,7 +351,7 @@ let batcher_tests =
         Batcher.shutdown b);
     Alcotest.test_case "submit_async answers without a parked thread" `Quick
       (fun () ->
-        let b = Batcher.create ~max_batch:4 ~max_wait_us:100 (Array.map succ) in
+        let b = Batcher.create ~max_batch:4 (Array.map succ) in
         let lock = Mutex.create () and cond = Condition.create () in
         let result = ref None in
         Batcher.submit_async b [| 7; 8 |] ~notify:(fun r ->
@@ -359,6 +359,7 @@ let batcher_tests =
             result := Some r;
             Condition.signal cond;
             Mutex.unlock lock);
+        Batcher.flush b;
         Mutex.lock lock;
         while !result = None do
           Condition.wait cond lock
@@ -369,7 +370,7 @@ let batcher_tests =
         | _ -> Alcotest.fail "async group not answered in order");
         (* rejections come back synchronously on the caller's thread *)
         let b2 =
-          Batcher.create ~max_batch:1 ~max_wait_us:0 ~capacity:1
+          Batcher.create ~max_batch:1 ~capacity:1
             (Array.map succ)
         in
         let sync = ref None in
@@ -389,6 +390,60 @@ let batcher_tests =
         | Some (Error `Shutdown) -> ()
         | _ -> Alcotest.fail "post-shutdown async submit must be rejected");
         Batcher.shutdown b);
+    Alcotest.test_case "sequential submits on an idle batcher pay no linger"
+      `Quick (fun () ->
+        (* A lone submit costs one wake and one batch; any timed wait
+           for company (2 ms each would be 400 ms here) fails this. *)
+        let b = Batcher.create (Array.map succ) in
+        let t0 = Unix.gettimeofday () in
+        for i = 1 to 200 do
+          match Batcher.submit b i with
+          | Ok v when v = i + 1 -> ()
+          | _ -> Alcotest.fail "submit failed"
+        done;
+        let elapsed = Unix.gettimeofday () -. t0 in
+        Batcher.shutdown b;
+        if elapsed >= 0.2 then
+          Alcotest.failf "200 sequential submits took %.0f ms (budget 200 ms)"
+            (elapsed *. 1000.0));
+    Alcotest.test_case "async groups wait for flush, then run as one batch"
+      `Quick (fun () ->
+        let sizes = ref [] and done_count = ref 0 in
+        let lock = Mutex.create () and cond = Condition.create () in
+        let b =
+          Batcher.create
+            ~on_batch:(fun n ->
+              Mutex.lock lock;
+              sizes := n :: !sizes;
+              Mutex.unlock lock)
+            (Array.map succ)
+        in
+        (* let the dispatcher park on its empty queue *)
+        Thread.delay 0.05;
+        for i = 1 to 5 do
+          Batcher.submit_async b [| i |] ~notify:(fun r ->
+              Mutex.lock lock;
+              (match r with
+              | Ok [| v |] when v = i + 1 -> incr done_count
+              | _ -> ());
+              Condition.signal cond;
+              Mutex.unlock lock)
+        done;
+        Thread.delay 0.1;
+        Mutex.lock lock;
+        let before = List.length !sizes in
+        Mutex.unlock lock;
+        Alcotest.(check int) "no batch before flush" 0 before;
+        Alcotest.(check int) "all five queued" 5 (Batcher.depth b);
+        Batcher.flush b;
+        Mutex.lock lock;
+        while !done_count < 5 do
+          Condition.wait cond lock
+        done;
+        let sizes = !sizes in
+        Mutex.unlock lock;
+        Batcher.shutdown b;
+        Alcotest.(check (list int)) "one batch of five" [ 5 ] sizes);
   ]
 
 (* ---------- HTTP framing ---------- *)
@@ -696,7 +751,6 @@ let e2e_tests =
           {
             Server.default_config with
             max_batch = 1;
-            max_wait_us = 0;
             queue_capacity = 2;
           }
         in
@@ -756,7 +810,7 @@ let e2e_tests =
         let q = (queries_of model 1).(0) in
         let body = J.to_string (query_json q) in
         let config =
-          { Server.default_config with max_batch = 1; max_wait_us = 0 }
+          { Server.default_config with max_batch = 1 }
         in
         let server =
           Server.start ~config
@@ -936,6 +990,72 @@ let e2e_tests =
                       true
                 in
                 Alcotest.(check bool) "drained idle conn closed" true eof)));
+    Alcotest.test_case
+      "pipelined predicts in one write come back in order, unstalled" `Quick
+      (fun () ->
+        (* Each pipelined request is submitted only once the previous
+           response is written, so the server sends 40 small responses
+           back to back on one connection. Without TCP_NODELAY, Nagle
+           holds a response until the client ACKs the previous one, and
+           the client delays that ACK by at least 40 ms; with it, the
+           whole burst takes a few ms. The best of three bursts must
+           beat 25 ms, so one slow stretch of the host cannot fail the
+           test while a Nagle stall fails every burst. *)
+        let service, model = make_world () in
+        let n = 40 in
+        let queries = queries_of ~seed:29 model n in
+        let direct = Service.evaluate_batch service queries in
+        let wire =
+          String.concat ""
+            (Array.to_list
+               (Array.map
+                  (fun q ->
+                    let body = J.to_string (query_json q) in
+                    Printf.sprintf
+                      "POST /predict HTTP/1.1\r\nHost: localhost\r\n\
+                       Content-Type: application/json\r\n\
+                       Content-Length: %d\r\n\r\n%s"
+                      (String.length body) body)
+                  queries))
+        in
+        with_server service (fun server ->
+            let c = connect (Server.port server) in
+            Fun.protect
+              ~finally:(fun () -> close c)
+              (fun () ->
+                let warm =
+                  rpc c ~meth:"POST" ~path:"/predict"
+                    (J.to_string (query_json queries.(0)))
+                in
+                Alcotest.(check int) "warm-up status" 200 warm.Http.status;
+                let burst () =
+                  let t0 = Unix.gettimeofday () in
+                  let len = String.length wire in
+                  Alcotest.(check int)
+                    "all requests in one write" len
+                    (Unix.write_substring c.fd wire 0 len);
+                  Array.iteri
+                    (fun i expected ->
+                      match Http.read_response c.creader with
+                      | Ok r ->
+                          Alcotest.(check int)
+                            "pipelined status" 200 r.Http.status;
+                          check_verdict_json
+                            (Printf.sprintf "pipelined %d" i)
+                            expected (parse_body r)
+                      | Error _ -> Alcotest.failf "response %d missing" i)
+                    direct;
+                  Unix.gettimeofday () -. t0
+                in
+                let rec best tries acc =
+                  if tries = 0 || acc < 0.025 then acc
+                  else best (tries - 1) (Float.min acc (burst ()))
+                in
+                let fastest = best 3 infinity in
+                if fastest >= 0.025 then
+                  Alcotest.failf
+                    "fastest of 3 pipelined bursts took %.1f ms (budget 25 ms)"
+                    (fastest *. 1000.0))));
   ]
 
 (* ---------- hot swap under live traffic ---------- *)
